@@ -138,7 +138,7 @@ def run_serve_serial(network, requests) -> dict:
         latencies: list[float] = []
         async with SparcleServer(
             network,
-            no_shards=True,
+            n_shards=1,
             max_queue_depth=len(requests),
             epoch_interval=0.002,
             registry=LabeledRegistry(),
@@ -179,7 +179,7 @@ def run_serve_burst(network, requests, *, n_clients: int,
     async def _run():
         async with SparcleServer(
             network,
-            no_shards=True,
+            n_shards=1,
             max_queue_depth=len(requests),
             max_inflight=window,
             epoch_interval=0.002,

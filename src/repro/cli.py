@@ -27,11 +27,12 @@ Subcommands:
     through the concurrent admission gateway, comparing wall-clock
     throughput and the accept set against one-at-a-time submission.
 
-``serve <scenario.json> [--port P] [--burst N] [--recover]``
+``serve <scenario.json> [--port P] [--shards N] [--burst N] [--recover]``
     Run the asyncio serving front-end: a versioned JSON-lines admission
     endpoint over the sharded control plane (``/metrics`` over HTTP on
-    the same port).  ``--burst N`` is a one-process self-test that
-    drives a synthesized burst through a local client and exits.
+    the same port; ``--shards 1`` serves the whole network as one
+    region).  ``--burst N`` is a one-process self-test that drives a
+    synthesized burst through a local client and exits.
 
 ``lint [paths ...] [--format text|json] [--baseline FILE]``
     Run the SPARCLE static-analysis pass (SPC001–SPC005 AST rules on
@@ -40,12 +41,10 @@ Subcommands:
     the current findings so they can be burned down incrementally.
 
 The observability-oriented subcommands (``trace``, ``perf``, ``gateway``)
-share ``--seed`` / ``--out-dir`` conventions via one helper; ``--output``
-is kept as a deprecated-in-docs alias for ``--out-dir``.  The service
+share ``--seed`` / ``--out-dir`` conventions via one helper.  The service
 subcommands (``serve``, ``gateway``, ``shards``) extend the same group
 with ``--workers`` / ``--log-dir``, and ``shards --kill-recover`` is the
-spelling consistent with ``serve --recover`` (``--kill-restart`` still
-accepted).
+spelling consistent with ``serve --recover``.
 
 For backward compatibility a bare experiment id (``sparcle fig6``) is
 rewritten to ``sparcle experiment fig6``.
@@ -109,12 +108,10 @@ def _add_run_options(
 ) -> None:
     """Attach the shared ``--seed`` / ``--out-dir`` options to a subcommand.
 
-    Every run-producing subcommand spells these the same way; ``--output``
-    is accepted as an alias for ``--out-dir`` so existing scripts keep
-    working (both store into ``args.out_dir``).  Service subcommands
-    (``serve`` / ``gateway`` / ``shards``) additionally share ``--workers``
-    (pass a default to enable) and ``--log-dir`` (pass ``log_dir=True``),
-    so the whole flag group is spelled once.
+    Every run-producing subcommand spells these the same way.  Service
+    subcommands (``serve`` / ``gateway`` / ``shards``) additionally share
+    ``--workers`` (pass a default to enable) and ``--log-dir`` (pass
+    ``log_dir=True``), so the whole flag group is spelled once.
     """
     if seed:
         parser.add_argument(
@@ -122,7 +119,7 @@ def _add_run_options(
             help="override the run's fixed RNG seed (when it has one)",
         )
     parser.add_argument(
-        "--out-dir", "--output", dest="out_dir", metavar="DIR",
+        "--out-dir", dest="out_dir", metavar="DIR",
         default=out_dir,
         help=out_help or "directory for exported artifacts",
     )
@@ -301,11 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of burst requests that are GR (default: 0.6)",
     )
     shards.add_argument(
-        "--kill-recover", "--kill-restart", dest="kill_recover",
+        "--kill-recover", dest="kill_recover",
         type=int, metavar="SHARD", default=None,
         help="after the burst, crash SHARD and recover it from its "
-        "event log, verifying the residual state round-trips bit-for-bit "
-        "(--kill-restart is the deprecated spelling)",
+        "event log, verifying the residual state round-trips bit-for-bit",
     )
     _add_run_options(
         shards, workers=0, log_dir=True,
@@ -329,12 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shards", dest="n_shards", type=int, default=2,
         help="number of regions the network is partitioned into "
-        "(default: 2)",
-    )
-    serve.add_argument(
-        "--no-shards", action="store_true",
-        help="serve a single in-process admission gateway instead of the "
-        "sharded control plane",
+        "(default: 2; 1 serves the whole network as one region)",
     )
     serve.add_argument(
         "--recover", action="store_true",
@@ -795,7 +786,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             spec.network,
             host=args.host,
             port=args.port,
-            no_shards=args.no_shards,
             n_shards=args.n_shards,
             workers=args.workers,
             log_dir=args.log_dir,
@@ -840,7 +830,6 @@ def _cmd_serve_burst(args: argparse.Namespace, spec: "ScenarioSpec") -> int:
             spec.network,
             host=args.host,
             port=args.port,
-            no_shards=args.no_shards,
             n_shards=args.n_shards,
             workers=args.workers,
             max_queue_depth=max(len(requests), 16),

@@ -26,7 +26,6 @@ Best-Effort (BE) applications
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -1274,26 +1273,6 @@ class SparcleScheduler:
             for p, r, a in zip(placed.placements, rates, placed.active)
         )
 
-    def gr_paths(self, app_id: str) -> tuple[PathRecord, ...]:
-        """Deprecated: use :meth:`paths` with ``kind="GR"``."""
-        warnings.warn(
-            "SparcleScheduler.gr_paths() is deprecated; "
-            "use paths(app_id, 'GR')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.paths(app_id, "GR")
-
-    def be_paths(self, app_id: str) -> tuple[PathRecord, ...]:
-        """Deprecated: use :meth:`paths` with ``kind="BE"``."""
-        warnings.warn(
-            "SparcleScheduler.be_paths() is deprecated; "
-            "use paths(app_id, 'BE')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.paths(app_id, "BE")
-
     def gr_baseline_rate(self, app_id: str) -> float:
         """The admission-time failure-free aggregate rate of one GR app."""
         return self._find_gr(app_id).baseline_rate
@@ -1342,26 +1321,6 @@ class SparcleScheduler:
         return BEHealth(
             app_id, len(active), availability, availability >= target - 1e-12
         )
-
-    def gr_health(self, app_id: str) -> GRHealth:
-        """Deprecated: use :meth:`health` with ``kind="GR"``."""
-        warnings.warn(
-            "SparcleScheduler.gr_health() is deprecated; "
-            "use health(app_id, 'GR')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._gr_health(app_id)
-
-    def be_health(self, app_id: str) -> BEHealth:
-        """Deprecated: use :meth:`health` with ``kind="BE"``."""
-        warnings.warn(
-            "SparcleScheduler.be_health() is deprecated; "
-            "use health(app_id, 'BE')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._be_health(app_id)
 
     def mark_element_down(self, element: str) -> dict[str, list[int]]:
         """Suspend every admitted path crossing ``element`` (outage start).
@@ -1473,26 +1432,6 @@ class SparcleScheduler:
         """
         if self._normalize_kind(kind) == "GR":
             return self._add_gr_path(app_id)
-        return self._add_be_path(app_id)
-
-    def add_gr_path(self, app_id: str) -> tuple[Placement, float] | None:
-        """Deprecated: use :meth:`add_path` with ``kind="GR"``."""
-        warnings.warn(
-            "SparcleScheduler.add_gr_path() is deprecated; "
-            "use add_path(app_id, kind='GR')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._add_gr_path(app_id)
-
-    def add_be_path(self, app_id: str) -> Placement | None:
-        """Deprecated: use :meth:`add_path` with ``kind="BE"``."""
-        warnings.warn(
-            "SparcleScheduler.add_be_path() is deprecated; "
-            "use add_path(app_id, kind='BE')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
         return self._add_be_path(app_id)
 
     def _add_gr_path(self, app_id: str) -> tuple[Placement, float] | None:

@@ -81,7 +81,7 @@ from repro.perf import timer, tracing
 from repro.perf.metrics import get_metrics
 
 if TYPE_CHECKING:
-    from repro.service.protocol import DecisionReply, SubmitRequest
+    from repro.service.protocol import SubmitRequest
 
 #: Epochs a drain() is allowed to run before concluding the queue is stuck.
 MAX_DRAIN_EPOCHS = 10_000
@@ -128,6 +128,105 @@ class _Pending:
         """Priority-class, weighted-FIFO virtual time, then arrival order."""
         rank = 0 if self.kind == "GR" else 1
         return (rank, self.seq / self.weight, self.seq)
+
+
+def _classify(
+    request: "BERequest | GRRequest | SubmitRequest",
+) -> tuple[BERequest | GRRequest, str, float]:
+    """An arrival as ``(request, kind, weight)``; wire submits converted.
+
+    GR requests weigh 1; a BE request weighs its priority.  Raises
+    :class:`AdmissionError` for anything that is not a request.
+    """
+    from repro.service.protocol import SubmitRequest
+
+    if isinstance(request, SubmitRequest):
+        request = request.to_request()
+    if isinstance(request, GRRequest):
+        return request, "GR", 1.0
+    if isinstance(request, BERequest):
+        return request, "BE", request.priority
+    raise AdmissionError(
+        f"unsupported request type {type(request).__name__!r}"
+    )
+
+
+class _AdmissionQueue:
+    """The bounded priority queue, retry backoff and retry budget.
+
+    Entries pop in :meth:`_Pending.sort_key` order; an entry re-queued
+    by :meth:`retry` sits out its backoff (``RetryPolicy`` delay, counted
+    in the caller's epochs) before it pops again.  Decisions are settled
+    per ticket here too, so callers keep only their commit step.
+    """
+
+    def __init__(
+        self, name: str, max_depth: int, retry_policy: RetryPolicy
+    ) -> None:
+        self.name = name
+        self.max_depth = max_depth
+        self.retry_policy = retry_policy
+        self._heap: list[tuple[tuple[int, float, int], _Pending]] = []
+        self._ids: set[str] = set()
+        #: Settled decisions by ticket (the entry's ``seq``).
+        self.decided: dict[int, Decision] = {}
+        self._seq = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def __contains__(self, app_id: object) -> bool:
+        return app_id in self._ids
+
+    def push(
+        self, request: BERequest | GRRequest, kind: str, weight: float
+    ) -> _Pending:
+        """Enqueue one arrival; :class:`BackpressureError` when full."""
+        if len(self._heap) >= self.max_depth:
+            raise BackpressureError(
+                f"{self.name} queue full ({self.max_depth}); "
+                f"request {request.app_id!r} shed"
+            )
+        entry = _Pending(self._seq, request, kind, weight)
+        self._seq += 1
+        heapq.heappush(self._heap, (entry.sort_key(), entry))
+        self._ids.add(request.app_id)
+        return entry
+
+    def pop_batch(self, epoch: int, limit: int | None = None) -> list[_Pending]:
+        """Pop up to ``limit`` entries not backing off, in priority order."""
+        if limit is None:
+            limit = len(self._heap)
+        batch: list[_Pending] = []
+        deferred: list[tuple[tuple[int, float, int], _Pending]] = []
+        while self._heap and len(batch) < limit:
+            key, entry = heapq.heappop(self._heap)
+            if entry.not_before_epoch > epoch:
+                deferred.append((key, entry))
+                continue
+            batch.append(entry)
+        for item in deferred:
+            heapq.heappush(self._heap, item)
+        return batch
+
+    def retry(self, entry: _Pending, epoch: int) -> bool:
+        """Re-queue one conflicted entry; ``False`` once its budget is spent.
+
+        A ``False`` entry is not re-queued: the caller decides it serially.
+        """
+        entry.attempts += 1
+        if entry.attempts >= self.retry_policy.max_attempts:
+            return False
+        entry.not_before_epoch = epoch + 1 + int(
+            self.retry_policy.delay(entry.attempts)
+        )
+        heapq.heappush(self._heap, (entry.sort_key(), entry))
+        return True
+
+    def settle(self, entry: _Pending, decision: Decision) -> None:
+        """Record the decision for one popped entry."""
+        self.decided[entry.seq] = decision
+        self._ids.discard(entry.request.app_id)
 
 
 @dataclass(frozen=True)
@@ -211,10 +310,9 @@ class AdmissionGateway:
         self.stats = GatewayStats()
         #: Decisions in commit order (the scheduler's log holds them too).
         self.decisions: list[Decision] = []
-        self._queue: list[tuple[tuple[int, float, int], _Pending]] = []
-        self._pending_ids: set[str] = set()
-        self._decision_by_seq: dict[int, Decision] = {}
-        self._seq = 0
+        self._queue = _AdmissionQueue(
+            "gateway", max_queue_depth, self.retry_policy
+        )
         self._epoch = 0
         self._pool: Executor | None = None
 
@@ -260,20 +358,7 @@ class AdmissionGateway:
 
     def decision_for(self, ticket: int) -> Decision | None:
         """The decision for one :meth:`submit` ticket, if committed yet."""
-        return self._decision_by_seq.get(ticket)
-
-    def decision_reply(self, ticket: int) -> "DecisionReply | None":
-        """The wire-typed decision for one ticket, if committed yet.
-
-        The serving front-end pushes this form to network clients; it is
-        :meth:`decision_for` rendered through the versioned protocol.
-        """
-        from repro.service.protocol import DecisionReply
-
-        decision = self._decision_by_seq.get(ticket)
-        if decision is None:
-            return None
-        return DecisionReply.from_decision(decision, seq=ticket)
+        return self._queue.decided.get(ticket)
 
     @staticmethod
     def priority_order(
@@ -286,11 +371,10 @@ class AdmissionGateway:
         FIFO within class) — the order used by the decision-equivalence
         property and the benchmark.
         """
-        entries = []
-        for seq, request in enumerate(requests):
-            kind = "GR" if isinstance(request, GRRequest) else "BE"
-            weight = 1.0 if kind == "GR" else request.priority
-            entries.append(_Pending(seq, request, kind, weight))
+        entries = [
+            _Pending(seq, *_classify(request))
+            for seq, request in enumerate(requests)
+        ]
         return [e.request for e in sorted(entries, key=_Pending.sort_key)]
 
     # ------------------------------------------------------------------
@@ -308,28 +392,18 @@ class AdmissionGateway:
         queue is full and :class:`AdmissionError` for duplicate app ids
         (already admitted or already queued).
         """
-        from repro.service.protocol import SubmitRequest
-
-        if isinstance(request, SubmitRequest):
-            request = request.to_request()
-        if isinstance(request, GRRequest):
-            kind, weight = "GR", 1.0
-        elif isinstance(request, BERequest):
-            kind, weight = "BE", request.priority
-        else:
-            raise AdmissionError(
-                f"unsupported request type {type(request).__name__!r}"
-            )
-        if request.app_id in self._pending_ids or self.scheduler.has_app(
+        request, kind, weight = _classify(request)
+        if request.app_id in self._queue or self.scheduler.has_app(
             request.app_id
         ):
             raise AdmissionError(
                 f"app id {request.app_id!r} already queued or admitted"
             )
-        if len(self._queue) >= self.max_queue_depth:
+        try:
+            entry = self._queue.push(request, kind, weight)
+        except BackpressureError:
             self.stats.backpressure_rejections += 1
-            metrics = get_metrics()
-            metrics.incr("gateway.backpressure")
+            get_metrics().incr("gateway.backpressure")
             tr = tracing.get_tracer()
             if tr.enabled:
                 tr.event(
@@ -337,14 +411,7 @@ class AdmissionGateway:
                     app_id=request.app_id,
                     queue_depth=len(self._queue),
                 )
-            raise BackpressureError(
-                f"gateway queue full ({self.max_queue_depth}); "
-                f"request {request.app_id!r} shed"
-            )
-        entry = _Pending(self._seq, request, kind, weight)
-        self._seq += 1
-        heapq.heappush(self._queue, (entry.sort_key(), entry))
-        self._pending_ids.add(request.app_id)
+            raise
         self.stats.submitted += 1
         get_metrics().set_gauge("gateway.queue_depth", float(len(self._queue)))
         return entry.seq
@@ -352,21 +419,6 @@ class AdmissionGateway:
     # ------------------------------------------------------------------
     # Epoch machinery
     # ------------------------------------------------------------------
-    def _pop_batch(self) -> list[_Pending]:
-        """Pop the epoch's batch in priority order, honoring backoff."""
-        limit = self.batch_size if self.batch_size is not None else len(self._queue)
-        batch: list[_Pending] = []
-        deferred: list[tuple[tuple[int, float, int], _Pending]] = []
-        while self._queue and len(batch) < limit:
-            key, entry = heapq.heappop(self._queue)
-            if entry.not_before_epoch > self._epoch:
-                deferred.append((key, entry))
-                continue
-            batch.append(entry)
-        for item in deferred:
-            heapq.heappush(self._queue, item)
-        return batch
-
     def _evaluate_batch(
         self, batch: Sequence[_Pending], snapshot: AdmissionSnapshot
     ) -> list[AdmissionProposal]:
@@ -397,10 +449,10 @@ class AdmissionGateway:
 
     def _requeue_or_fallback(self, entry: _Pending, reason: str) -> Decision | None:
         """Handle one conflicted proposal; returns a decision on fallback."""
-        entry.attempts += 1
         self.stats.conflicts += 1
         metrics = get_metrics()
         metrics.incr("gateway.conflicts", kind=entry.kind)
+        requeued = self._queue.retry(entry, self._epoch)
         tr = tracing.get_tracer()
         if tr.enabled:
             tr.event(
@@ -410,18 +462,14 @@ class AdmissionGateway:
                 attempt=entry.attempts,
                 reason=reason,
             )
-        if entry.attempts >= self.retry_policy.max_attempts:
-            # Retry budget spent: decide exactly as the serial path would,
-            # against live state — guarantees every request terminates
-            # with a decision.
-            self.stats.serial_fallbacks += 1
-            metrics.incr("gateway.serial_fallbacks")
-            return self.scheduler.commit(self.scheduler.evaluate(entry.request))
-        entry.not_before_epoch = self._epoch + 1 + int(
-            self.retry_policy.delay(entry.attempts)
-        )
-        heapq.heappush(self._queue, (entry.sort_key(), entry))
-        return None
+        if requeued:
+            return None
+        # Retry budget spent: decide exactly as the serial path would,
+        # against live state — guarantees every request terminates with a
+        # decision.
+        self.stats.serial_fallbacks += 1
+        metrics.incr("gateway.serial_fallbacks")
+        return self.scheduler.commit(self.scheduler.evaluate(entry.request))
 
     def run_epoch(self) -> EpochReport:
         """Evaluate one batch in parallel, then commit sequentially.
@@ -434,7 +482,7 @@ class AdmissionGateway:
         metrics = get_metrics()
         metrics.incr("gateway.epochs")
         with timer("gateway.epoch"):
-            batch = self._pop_batch()
+            batch = self._queue.pop_batch(self._epoch, self.batch_size)
             committed = accepted = rejected = conflicts = fallbacks = 0
             if batch:
                 snapshot = self.scheduler.admission_snapshot()
@@ -452,11 +500,10 @@ class AdmissionGateway:
                         overlap = bool(footprint & dirty)
                         if proposal.kind == "BE" and overlap:
                             # Stale Theorem-3 shares on contested elements.
-                            before = self.stats.conflicts
+                            conflicts += 1
                             decision = self._requeue_or_fallback(
                                 entry, "predicted view stale"
                             )
-                            conflicts += self.stats.conflicts - before
                             if decision is None:
                                 continue
                             fallbacks += 1
@@ -468,11 +515,10 @@ class AdmissionGateway:
                                 if overlap:
                                     self.stats.overlap_commits += 1
                             except StaleProposalError as error:
-                                before = self.stats.conflicts
+                                conflicts += 1
                                 decision = self._requeue_or_fallback(
                                     entry, str(error)
                                 )
-                                conflicts += self.stats.conflicts - before
                                 if decision is None:
                                     continue
                                 fallbacks += 1
@@ -513,8 +559,7 @@ class AdmissionGateway:
 
     def _record(self, entry: _Pending, decision: Decision) -> None:
         self.decisions.append(decision)
-        self._decision_by_seq[entry.seq] = decision
-        self._pending_ids.discard(entry.request.app_id)
+        self._queue.settle(entry, decision)
 
     # ------------------------------------------------------------------
     # Convenience drivers
@@ -537,4 +582,4 @@ class AdmissionGateway:
         """Submit a burst and drain it; decisions in submission order."""
         tickets = [self.submit(request) for request in requests]
         self.drain()
-        return [self._decision_by_seq[ticket] for ticket in tickets]
+        return [self._queue.decided[ticket] for ticket in tickets]

@@ -66,19 +66,22 @@ from repro.core.scheduler import (
 from repro.core.taskgraph import BANDWIDTH
 from repro.exceptions import (
     AdmissionError,
-    BackpressureError,
     PlacementError,
     ShardError,
     StaleProposalError,
 )
+from repro.perf.metrics import get_metrics
 from repro.service.gateway import (
     MAX_DRAIN_EPOCHS,
     AdmissionGateway,
     EpochReport,
+    _AdmissionQueue,
+    _classify,
+    _Pending,
 )
 
 if TYPE_CHECKING:
-    from repro.service.protocol import DecisionReply, SubmitRequest
+    from repro.service.protocol import SubmitRequest
 
 #: Flat ``(element, resource, residual)`` override entries (see
 #: :class:`~repro.core.network.ResidualSnapshot`).
@@ -100,8 +103,9 @@ class NetworkPartition:
     """A network split into regions plus the links crossing them.
 
     ``assignments`` maps every NCP name to its shard id (``0..n-1``);
-    ``subnetworks[i]`` is shard *i*'s connected subnetwork (its NCPs and
-    the links internal to it); ``boundary_links`` are the global links
+    ``subnetworks[i]`` is shard *i*'s subnetwork (its NCPs and the links
+    internal to it; a one-shard partition's is the network itself);
+    ``boundary_links`` are the global links
     whose endpoints live in different shards — they belong to no
     subnetwork and are reserved exclusively through the coordinator's
     ledger.
@@ -228,20 +232,31 @@ def partition_network(
 
     ``zones`` (NCP name -> shard id, ids contiguous from 0) pins the
     partition explicitly; without it, a deterministic min-bottleneck-cut
-    heuristic over link capacity picks ``n_shards`` regions.  Every
-    region's subnetwork must be connected — a disconnected region raises
-    :class:`~repro.exceptions.ShardError` (re-zone it).
+    heuristic over link capacity picks ``n_shards`` regions.  With
+    several regions, every region's subnetwork must be connected — a
+    disconnected region raises :class:`~repro.exceptions.ShardError`
+    (re-zone it).  One region is the whole network itself, connected or
+    not, with no boundary links.
     """
     if zones is not None:
         assignments = _validated_zones(network, zones)
         n_shards = max(assignments.values()) + 1
+    elif not 1 <= n_shards <= len(network.ncp_names):
+        raise ShardError(
+            f"n_shards must be in [1, {len(network.ncp_names)}], "
+            f"got {n_shards}"
+        )
+    elif n_shards == 1:
+        assignments = dict.fromkeys(network.ncp_names, 0)
     else:
-        if not 1 <= n_shards <= len(network.ncp_names):
-            raise ShardError(
-                f"n_shards must be in [1, {len(network.ncp_names)}], "
-                f"got {n_shards}"
-            )
         assignments = _heuristic_zones(network, n_shards)
+    if n_shards == 1:
+        return NetworkPartition(
+            network=network,
+            assignments=assignments,
+            subnetworks=(network,),
+            boundary_links=(),
+        )
     members: list[list[NCP]] = [[] for _ in range(n_shards)]
     for ncp in network.ncps:
         members[assignments[ncp.name]].append(ncp)
@@ -321,6 +336,12 @@ class ShardEventLog:
     federations); with a path, records are flushed line-by-line and an
     existing file is re-read on open, so a restarted process resumes the
     same log.
+
+    A record counts only once its terminating newline is written.  A
+    final fragment without one — a write torn by a crash — is cut off
+    on open (counted as ``shard.log_torn_tails``), so the next append
+    starts a fresh line; a record that does not parse anywhere else
+    raises :class:`~repro.exceptions.ShardError`.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -329,11 +350,30 @@ class ShardEventLog:
         self._handle: TextIO | None = None
         if self._path is not None:
             if self._path.exists():
-                for line in self._path.read_text(encoding="utf-8").splitlines():
-                    if line.strip():
-                        self._records.append(json.loads(line))
+                self._records = self._read_records(self._path)
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self._path, "a", encoding="utf-8")
+
+    @staticmethod
+    def _read_records(path: Path) -> list[dict[str, Any]]:
+        """Parse every complete line, truncating a torn final fragment."""
+        data = path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            with open(path, "r+b") as handle:
+                handle.truncate(end)
+            get_metrics().incr("shard.log_torn_tails")
+        records: list[dict[str, Any]] = []
+        for number, line in enumerate(data[:end].splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(json.loads(line))
+            except ValueError as error:
+                raise ShardError(
+                    f"{path}: corrupt record on line {number}: {error}"
+                ) from error
+        return records
 
     @property
     def path(self) -> Path | None:
@@ -678,22 +718,6 @@ class ShardNode:
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
-@dataclass
-class _CrossPending:
-    """One queued cross-shard request with its scheduling metadata."""
-
-    seq: int
-    request: BERequest | GRRequest
-    kind: str
-    weight: float
-    attempts: int = 0
-    not_before_epoch: int = 0
-
-    def sort_key(self) -> tuple[int, float, int]:
-        rank = 0 if self.kind == "GR" else 1
-        return (rank, self.seq / self.weight, self.seq)
-
-
 @dataclass(frozen=True)
 class _TicketRef:
     """Where one coordinator ticket's decision lives."""
@@ -794,7 +818,6 @@ class ShardCoordinator:
             raise ShardError("partition was built for a different network")
         self.partition = partition
         self._assigner = assigner
-        self._max_queue_depth = max_queue_depth
         self._cross_retry = cross_retry_policy or retry_policy or RetryPolicy()
         base = Path(log_dir) if log_dir is not None else None
         self._log = ShardEventLog(
@@ -826,14 +849,14 @@ class ShardCoordinator:
         }
         self._ledger = CapacityView(network)
         self._apps: dict[str, _CrossApp] = {}
-        self._cross_queue: list[_CrossPending] = []
-        self._cross_decisions: dict[int, Decision] = {}
+        self._cross_queue = _AdmissionQueue(
+            "cross-shard", max_queue_depth, self._cross_retry
+        )
         self._decisions: list[Decision] = []
         self._tickets: dict[int, _TicketRef] = {}
         self._all_ids: set[str] = set()
         self._node_marks: list[int] = [0] * partition.n_shards
         self._seq = 0
-        self._cross_seq = 0
         self._epoch = 0
         self._rr = 0
         self._submitted = 0
@@ -924,21 +947,8 @@ class ShardCoordinator:
         if ref is None:
             return None
         if ref.shard_id == LEDGER:
-            return self._cross_decisions.get(ref.local)
+            return self._cross_queue.decided.get(ref.local)
         return self._nodes[ref.shard_id].gateway.decision_for(ref.local)
-
-    def decision_reply(self, ticket: int) -> "DecisionReply | None":
-        """The wire-typed decision for one ticket, if reached yet.
-
-        :meth:`decision_for` rendered through the versioned protocol —
-        the form the serving front-end pushes to network clients.
-        """
-        from repro.service.protocol import DecisionReply
-
-        decision = self.decision_for(ticket)
-        if decision is None:
-            return None
-        return DecisionReply.from_decision(decision, seq=ticket)
 
     def residual_state(self) -> dict[str, Entries]:
         """Per-shard residual overrides plus the boundary ledger.
@@ -988,18 +998,7 @@ class ShardCoordinator:
         queue is full, and :class:`~repro.exceptions.ShardError` when
         every pin lands on a killed shard.
         """
-        from repro.service.protocol import SubmitRequest
-
-        if isinstance(request, SubmitRequest):
-            request = request.to_request()
-        if isinstance(request, GRRequest):
-            kind, weight = "GR", 1.0
-        elif isinstance(request, BERequest):
-            kind, weight = "BE", request.priority
-        else:
-            raise AdmissionError(
-                f"unsupported request type {type(request).__name__!r}"
-            )
+        request, kind, weight = _classify(request)
         app_id = request.app_id
         if app_id in self._all_ids:
             raise AdmissionError(
@@ -1007,14 +1006,7 @@ class ShardCoordinator:
             )
         home = self._route(request)
         if home == LEDGER:
-            if len(self._cross_queue) >= self._max_queue_depth:
-                raise BackpressureError(
-                    f"cross-shard queue full ({self._max_queue_depth}); "
-                    f"request {app_id!r} shed"
-                )
-            entry = _CrossPending(self._cross_seq, request, kind, weight)
-            self._cross_seq += 1
-            self._cross_queue.append(entry)
+            entry = self._cross_queue.push(request, kind, weight)
             ref = _TicketRef(app_id, LEDGER, entry.seq)
             self._cross_submitted += 1
         else:
@@ -1063,14 +1055,7 @@ class ShardCoordinator:
         news = node.gateway.decisions[mark:]
         self._node_marks[node.shard_id] = len(node.gateway.decisions)
         for decision in news:
-            self._decisions.append(decision)
-            self._committed += 1
-            if decision.accepted:
-                self._accepted += 1
-            else:
-                self._rejected += 1
-                # A rejected id may be resubmitted, like on a bare gateway.
-                self._all_ids.discard(decision.app_id)
+            self._count(decision)
 
     def _merged_entries(self) -> list[tuple[str, str, float]]:
         """The phase-1 merged residual basis over the global network.
@@ -1188,7 +1173,7 @@ class ShardCoordinator:
             proposal.availability,
         )
 
-    def _serial_cross(self, entry: _CrossPending) -> Decision:
+    def _serial_cross(self, entry: _Pending) -> Decision:
         """Global serial fallback: evaluate+commit against live state."""
         self._cross_fallbacks += 1
         view = self._thaw_merged(self._merged_entries())
@@ -1201,42 +1186,18 @@ class ShardCoordinator:
             )
         return self._commit_cross(entry.request, proposal)
 
-    def _requeue_or_fallback(
-        self, entry: _CrossPending
-    ) -> Decision | None:
-        """Handle one stale cross proposal; returns a decision on fallback."""
-        entry.attempts += 1
-        self._cross_conflicts += 1
-        if entry.attempts >= self._cross_retry.max_attempts:
-            return self._serial_cross(entry)
-        entry.not_before_epoch = self._epoch + 1 + int(
-            self._cross_retry.delay(entry.attempts)
-        )
-        self._cross_queue.append(entry)
-        return None
-
-    def _record_cross(self, entry: _CrossPending, decision: Decision) -> None:
-        self._cross_decisions[entry.seq] = decision
+    def _count(self, decision: Decision) -> None:
         self._decisions.append(decision)
         self._committed += 1
         if decision.accepted:
             self._accepted += 1
         else:
             self._rejected += 1
+            # A rejected id may be resubmitted, like on a bare gateway.
             self._all_ids.discard(decision.app_id)
 
     def _run_cross_epoch(self) -> tuple[int, int, int, int, int, int]:
-        eligible = [
-            entry
-            for entry in self._cross_queue
-            if entry.not_before_epoch <= self._epoch
-        ]
-        self._cross_queue = [
-            entry
-            for entry in self._cross_queue
-            if entry.not_before_epoch > self._epoch
-        ]
-        eligible.sort(key=_CrossPending.sort_key)
+        eligible = self._cross_queue.pop_batch(self._epoch)
         committed = accepted = rejected = conflicts = fallbacks = 0
         if not eligible:
             return (0, 0, 0, 0, 0, 0)
@@ -1264,19 +1225,19 @@ class ShardCoordinator:
                 try:
                     decision = self._commit_cross(entry.request, proposal)
                 except StaleProposalError:
-                    before = self._cross_conflicts
-                    fallback = self._requeue_or_fallback(entry)
-                    conflicts += self._cross_conflicts - before
-                    if fallback is None:
+                    conflicts += 1
+                    self._cross_conflicts += 1
+                    if self._cross_queue.retry(entry, self._epoch):
                         continue
-                    decision = fallback
+                    decision = self._serial_cross(entry)
                     fallbacks += 1
             committed += 1
             if decision.accepted:
                 accepted += 1
             else:
                 rejected += 1
-            self._record_cross(entry, decision)
+            self._cross_queue.settle(entry, decision)
+            self._count(decision)
         return (
             len(eligible),
             committed,

@@ -55,10 +55,6 @@ class TestParser:
         assert args.out_dir == "obs"
         assert args.capacity == 1000
 
-    def test_output_is_an_alias_for_out_dir(self):
-        args = build_parser().parse_args(["trace", "repair", "--output", "obs"])
-        assert args.out_dir == "obs"
-
     def test_perf_subcommand(self):
         args = build_parser().parse_args(
             ["perf", "x.json", "--format", "json"]
@@ -79,7 +75,7 @@ class TestParser:
 
     def test_run_subcommands_share_seed_and_out_dir_spelling(self):
         # The unification contract: every run-producing subcommand accepts
-        # the same --out-dir spelling (plus the --output alias).
+        # the same --out-dir spelling.
         parser = build_parser()
         for argv in (
             ["trace", "repair", "--out-dir", "d"],
@@ -159,7 +155,7 @@ class TestObservabilityCommands:
         import json
 
         out_dir = tmp_path / "obs"
-        code = main(["trace", "fig10", "--output", str(out_dir)])
+        code = main(["trace", "fig10", "--out-dir", str(out_dir)])
         out = capsys.readouterr().out
         assert code == 0
         assert "[fig10]" in out
@@ -189,7 +185,7 @@ class TestObservabilityCommands:
         code = main(
             [
                 "perf", str(scenario_file),
-                "--format", "json", "--output", str(target),
+                "--format", "json", "--out-dir", str(target),
             ]
         )
         assert code == 0

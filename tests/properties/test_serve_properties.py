@@ -88,7 +88,7 @@ def _wire_decisions(network, requests):
         decisions = []
         async with SparcleServer(
             network,
-            no_shards=True,
+            n_shards=1,
             epoch_interval=0.005,
             registry=LabeledRegistry(),
         ) as server:

@@ -14,16 +14,24 @@ import json
 
 import pytest
 
-from repro.core.network import fully_connected_network, star_network
+from repro.core.network import (
+    NCP,
+    Link,
+    Network,
+    fully_connected_network,
+    star_network,
+)
 from repro.core.repair import RetryPolicy
 from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
-from repro.core.taskgraph import BANDWIDTH, linear_task_graph
+from repro.core.taskgraph import BANDWIDTH, CPU, linear_task_graph
 from repro.exceptions import (
     AdmissionError,
     BackpressureError,
     PlacementError,
     ShardError,
 )
+from repro.perf.metrics import LabeledRegistry, use_registry
+from repro.service.gateway import AdmissionGateway
 from repro.service.shard import (
     LEDGER,
     NetworkPartition,
@@ -137,6 +145,34 @@ class TestPartitionNetwork:
         with pytest.raises(ShardError, match="not covered"):
             partition.shard_of("nowhere")
 
+    def test_one_region_is_the_whole_network_even_disconnected(self):
+        network = _split_world()
+        partition = partition_network(network, 1)
+        assert partition.subnetworks == (network,)
+        assert partition.boundary_links == ()
+        assert set(partition.assignments.values()) == {0}
+
+    def test_one_region_federation_decides_like_the_gateway(self):
+        network = _split_world()
+        requests = [
+            _gr("pair", "ncp1", "ncp2", min_rate=0.5),
+            _gr("alone", "ncp3", "ncp3", min_rate=0.5),
+            _be("apart", "ncp1", "ncp3"),
+            _be("pair-be", "ncp2", "ncp1", priority=2.0),
+        ]
+        with AdmissionGateway(SparcleScheduler(network)) as gateway:
+            expected = gateway.process(requests)
+        with ShardCoordinator(network, n_shards=1) as federation:
+            got = federation.process(requests)
+        assert [d.accepted for d in expected] == [True, True, False, True]
+        assert got == expected
+
+
+def _split_world() -> Network:
+    """Three NCPs and one link: ``ncp3`` is cut off from the other two."""
+    ncps = [NCP(f"ncp{k}", {CPU: 20000.0}) for k in (1, 2, 3)]
+    return Network("split", ncps, [Link("l12", "ncp1", "ncp2", 10.0)])
+
 
 # ----------------------------------------------------------------------
 # Event log + replay
@@ -163,6 +199,42 @@ class TestShardEventLog:
         assert [r["seq"] for r in reopened.records()] == [0, 1]
         reopened.close()
         assert len(path.read_text().splitlines()) == 2
+
+    def _write_records(self, path, count):
+        log = ShardEventLog(path)
+        for k in range(count):
+            log.append({"type": "release", "app_id": f"a{k}"})
+        log.close()
+
+    def test_torn_tail_is_truncated_and_next_append_round_trips(
+        self, tmp_path
+    ):
+        path = tmp_path / "shard-0.jsonl"
+        self._write_records(path, 2)
+        whole = path.read_bytes()
+        with open(path, "ab") as handle:
+            handle.write(b'{"seq": 2, "type": "rel')
+        registry = LabeledRegistry()
+        with use_registry(registry):
+            reopened = ShardEventLog(path)
+        assert registry.get("shard.log_torn_tails") == 1
+        assert [r["app_id"] for r in reopened.records()] == ["a0", "a1"]
+        assert path.read_bytes() == whole
+        reopened.append({"type": "release", "app_id": "next"})
+        reopened.close()
+        again = ShardEventLog(path)
+        assert [r["seq"] for r in again.records()] == [0, 1, 2]
+        assert again.records()[-1]["app_id"] == "next"
+        again.close()
+
+    def test_corrupt_record_before_the_tail_fails_closed(self, tmp_path):
+        path = tmp_path / "shard-0.jsonl"
+        self._write_records(path, 3)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + b"\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ShardError, match="line 2"):
+            ShardEventLog(path)
 
     def test_replay_empty_log_raises(self):
         with pytest.raises(ShardError, match="empty"):
@@ -370,6 +442,33 @@ class TestCrossShardTwoPhase:
 # ----------------------------------------------------------------------
 # Coordinator: failure and warm starts
 # ----------------------------------------------------------------------
+class TestTornTailRecovery:
+    def test_recover_keeps_the_apps_decided_before_a_torn_record(
+        self, tmp_path
+    ):
+        network, _zones = _clique_world(4, 2)
+        with ShardCoordinator(network, n_shards=1, log_dir=tmp_path) as first:
+            for app_id in ("a", "b", "torn"):
+                first.process([_gr(app_id, "ncp1", "ncp2", min_rate=0.4)])
+        path = tmp_path / "shard-0.jsonl"
+        data = path.read_bytes()
+        tail = data.splitlines(keepends=True)[-1]
+        assert b'"torn"' in tail
+        path.write_bytes(data[: len(data) - len(tail) // 2])
+        with ShardCoordinator(
+            network, n_shards=1, log_dir=tmp_path
+        ) as second:
+            assert second.recover() == 2
+            assert sorted(second.nodes[0].live_apps()) == ["a", "b"]
+            # The torn decision never counted: its id is free again.
+            (decision,) = second.process(
+                [_gr("torn", "ncp1", "ncp2", min_rate=0.4)]
+            )
+            assert decision is not None and decision.accepted
+        records = ShardEventLog(path).records()
+        assert [r["seq"] for r in records] == list(range(len(records)))
+
+
 class TestKillAndWarmStart:
     def _loaded_coordinator(self, log_dir=None):
         network, zones = _clique_world(8, 2)

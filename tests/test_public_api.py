@@ -218,7 +218,7 @@ API_SIGNATURES = {
         "sabotage_after: 'int' = 0) -> 'ShardSoakReport'",
     "serve":
         "(network: 'Network', *, host: 'str' = '127.0.0.1', "
-        "port: 'int' = 0, no_shards: 'bool' = False, n_shards: 'int' = 2, "
+        "port: 'int' = 0, n_shards: 'int' = 2, "
         "zones: 'Mapping[str, int] | None' = None, "
         "assigner: 'Assigner' = <sparcle_assign>, workers: 'int' = 0, "
         "max_queue_depth: 'int' = 128, "
